@@ -34,8 +34,8 @@ from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from ..sim import LatencyStats, SimulationError, Tracer
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, probability, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: One injectable failure domain per campaign axis.
@@ -272,8 +272,8 @@ def main(argv=None) -> int:
                         default=list(FAULT_CLASSES), choices=FAULT_CLASSES,
                         metavar="CLASS",
                         help="fault classes to sweep (default: all)")
-    parser.add_argument("--rates", nargs="+", type=float, default=None,
-                        metavar="P",
+    parser.add_argument("--rates", nargs="+", type=probability,
+                        default=None, metavar="P",
                         help="per-event fault probabilities "
                              f"(default: {DEFAULT_RATES})")
     add_fault_campaign_args(

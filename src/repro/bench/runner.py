@@ -253,6 +253,29 @@ def seeded_params(seed: Optional[int],
     return p.copy(seed=seed) if seed is not None else p
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1, such as client counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def probability(text: str) -> float:
+    """argparse type for per-event fault rates: a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text}")
+    return value
+
+
 def add_campaign_args(parser: argparse.ArgumentParser,
                       seed_help: str = "master seed for every RNG "
                                        "stream") -> None:

@@ -42,8 +42,8 @@ from ..params import KB, Params, default_params
 from ..sim import LatencyStats
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -330,8 +330,8 @@ def main(argv=None) -> int:
     parser.add_argument("--mixes", nargs="+", default=list(MIXES),
                         choices=MIXES, metavar="MIX",
                         help="workload mixes to sweep (default: all)")
-    parser.add_argument("--clients", nargs="+", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--clients", nargs="+", type=positive_int,
+                        default=None, metavar="N",
                         help=f"client counts (default: "
                              f"{DEFAULT_CLIENTS})")
     parser.add_argument("--blocks", type=int, default=48,

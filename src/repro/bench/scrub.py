@@ -50,7 +50,7 @@ from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from ..sim import LatencyStats
 from .chaos import add_fault_campaign_args
-from .runner import campaign_json, run_grid, seeded_params
+from .runner import campaign_json, probability, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Systems swept by default: the RPC pole (server-side verification)
@@ -379,8 +379,8 @@ def main(argv=None) -> int:
                         choices=SYSTEMS, metavar="SYSTEM",
                         help=f"systems to sweep (default: "
                              f"{', '.join(DEFAULT_SYSTEMS)})")
-    parser.add_argument("--rates", nargs="+", type=float, default=None,
-                        metavar="P",
+    parser.add_argument("--rates", nargs="+", type=probability,
+                        default=None, metavar="P",
                         help="per-event silent-corruption probabilities "
                              f"(default: {DEFAULT_RATES})")
     parser.add_argument("--repair-servers", type=int, default=2,

@@ -45,7 +45,11 @@ class CPU:
         yield req
         try:
             yield self.sim.timeout(cost_us)
-            self.busy.add(cost_us, category)
+            # BusyTracker.add inlined: cost_us > 0 was checked above.
+            busy = self.busy
+            busy.busy_us += cost_us
+            cats = busy.by_category
+            cats[category] = cats.get(category, 0.0) + cost_us
         finally:
             self._core.release(req)
 

@@ -353,7 +353,7 @@ class NIC:
     # ------------------------------------------------------------------
 
     def _deliver(self, frame: Frame) -> None:
-        self.sim.process(self._rx_frame(frame), name=f"{self.name}.rx")
+        self.sim.process(self._rx_frame(frame))
 
     def _rx_frame(self, frame: Frame) -> Generator:
         fw = self.firmware.request()

@@ -41,6 +41,13 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
 * ``run()`` inlines the dispatch loop instead of calling ``step()`` per
   event (``step()`` remains for single-step use and is semantically
   identical).
+* **Uncontended grants** (:meth:`repro.sim.resources.Resource.request`):
+  a request that finds the resource's wait queue empty and a slot free
+  skips the resource's priority heap. The heap would return that very
+  request at once, so the grant is the same; the request is triggered
+  the way ``succeed()`` triggers it (one seq draw, one run-queue append)
+  at the point where ``succeed()`` drew it. ``Request`` and ``Process``
+  inline ``Event.__init__``.
 
 None of this changes event ordering or seq accounting: the (time, seq)
 dispatch discipline and the points at which seq is drawn are exactly the
@@ -217,7 +224,13 @@ class Process(Event):
     __slots__ = ("_gen", "_waiting_on", "name", "_stale")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        super().__init__(sim)
+        # Inlined Event.__init__: one Process per frame and datagram.
+        self.sim = sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._scheduled = False
+        self._deferred = False
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         #: Events this process was interrupted away from; their eventual

@@ -11,16 +11,26 @@ import heapq
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional
 
-from .core import Event, SimulationError, Simulator
+from .core import PENDING, Event, SimulationError, Simulator
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_key")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: int):
-        super().__init__(resource.sim)
+        # Inlined Event.__init__: one Request per CPU charge, firmware
+        # slot and disk access.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._scheduled = False
+        self._deferred = False
         self.resource = resource
         self.priority = priority
 
@@ -36,6 +46,15 @@ class Resource:
             yield sim.timeout(service_time)
         finally:
             resource.release(req)
+
+    Waiters queue in ``(priority, arrival)`` order. A slot is never left
+    free while a request waits: every request and release grants until
+    the queue is empty or every slot is held. So a request that finds the
+    queue empty and a slot free is granted on the spot, without the heap:
+    the heap would pop it straight back, and the grant triggers it
+    exactly as ``succeed()`` would, drawing the simulator's seq at the
+    same point and entering the run-queue in the same place. Grant
+    order, ``stats_*`` and ``sim._seq`` are those of the heap-only path.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -61,10 +80,28 @@ class Resource:
 
     def request(self, priority: int = 0) -> Request:
         req = Request(self, priority)
+        queue = self._queue
+        if not queue and len(self._users) < self.capacity:
+            # Uncontended grant (see the class docstring): the heap path
+            # would have pushed, peaked the queue at 1, popped and
+            # succeeded this very request.
+            self._users.append(req)
+            self.stats_granted += 1
+            if not self.stats_peak_queue:
+                self.stats_peak_queue = 1
+            req._value = req
+            req._ok = True
+            req._scheduled = True
+            sim = self.sim
+            sim._seq += 1
+            sim._runq.append(req)
+            return req
+        # Contended: every slot is held (a free slot implies an empty
+        # queue), so the request waits for a release to grant it.
         self._seq += 1
-        heapq.heappush(self._queue, (priority, self._seq, req))
-        self.stats_peak_queue = max(self.stats_peak_queue, len(self._queue))
-        self._grant()
+        _heappush(queue, (priority, self._seq, req))
+        if len(queue) > self.stats_peak_queue:
+            self.stats_peak_queue = len(queue)
         return req
 
     def cancel(self, req: Request) -> None:
@@ -79,11 +116,12 @@ class Resource:
             self._users.remove(req)
         except ValueError:
             raise SimulationError("release of a request that does not hold a slot")
-        self._grant()
+        if self._queue:
+            self._grant()
 
     def _grant(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, req = heapq.heappop(self._queue)
+            _prio, _seq, req = _heappop(self._queue)
             self._users.append(req)
             self.stats_granted += 1
             req.succeed(req)

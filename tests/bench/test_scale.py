@@ -96,6 +96,15 @@ class TestRender:
         with pytest.raises(SystemExit):
             scale.main(["--systems", "zfs"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_cli_rejects_client_count_below_one(self, count, capsys):
+        """A zero client count used to run and then divide by zero in
+        the throughput computation; argparse now rejects it up front."""
+        with pytest.raises(SystemExit) as exc:
+            scale.main(["--clients", "1", count, "--quick"])
+        assert exc.value.code == 2
+        assert "--clients: must be >= 1" in capsys.readouterr().err
+
 
 class TestScaleOutClaim:
     def test_odafs_beats_nfs_at_eight_clients(self):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench.chaos import (campaign_failures, chaos_campaign, main,
                                run_point)
 from repro.params import default_params
@@ -70,6 +72,17 @@ def test_cli_json_output_round_trips(capsys):
     assert out["seed"] == 7
     assert "nfs" in out["results"]
     assert set(out["results"]["nfs"]["link"]) == {"0.0000", "0.0500"}
+
+
+@pytest.mark.parametrize("rate", ["-1", "1.5", "nan"])
+def test_cli_rejects_rate_outside_unit_interval(rate, capsys):
+    """A negative fault rate used to run the whole campaign; argparse
+    now rejects any rate that is not a probability."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--rates", "0.1", rate])
+    assert exc.value.code == 2
+    assert "--rates: must be a probability in [0, 1]" in \
+        capsys.readouterr().err
 
 
 def test_cli_dump_writes_loadable_trace(tmp_path, capsys):

@@ -11,7 +11,7 @@ is detected — at the server for RPC reads, at the client for ORDMA reads
 
 import pytest
 
-from repro.bench.scrub import run_point, run_repair_point
+from repro.bench.scrub import main, run_point, run_repair_point
 from repro.cluster import Cluster
 from repro.faults import Injector
 from repro.integrity import IntegrityError, is_corrupt
@@ -239,3 +239,14 @@ class TestShardedReadRepair:
         # typed, the rest serve clean, and nobody gets down-marked.
         assert state["typed"] > 0 and state["ok"] > 0
         assert router.stats.get("down_marks") == 0
+
+
+@pytest.mark.parametrize("rate", ["-0.5", "2"])
+def test_cli_rejects_rate_outside_unit_interval(rate, capsys):
+    """Corruption rates are probabilities; anything else exits 2 with a
+    message before a campaign point runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--rates", rate])
+    assert exc.value.code == 2
+    assert "--rates: must be a probability in [0, 1]" in \
+        capsys.readouterr().err
