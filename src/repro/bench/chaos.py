@@ -34,8 +34,8 @@ from ..params import KB, Params, default_params
 from ..proto.rpc import RPCError
 from ..sim import LatencyStats, SimulationError, Tracer
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, probability, \
-    run_grid, seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    probability, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: One injectable failure domain per campaign axis.
@@ -59,7 +59,7 @@ def add_fault_campaign_args(parser: argparse.ArgumentParser,
     registered exactly once per parser — duplicating ``--seed`` in a
     subcommand would crash argparse and double it in ``--help``.
     """
-    parser.add_argument("--blocks", type=int, default=64,
+    parser.add_argument("--blocks", type=positive_int, default=64,
                         help="4 KB blocks per pass (default 64)")
     parser.add_argument("--passes", type=int, default=2,
                         help="read passes over the file (default 2)")

@@ -334,7 +334,7 @@ def main(argv=None) -> int:
                         default=None, metavar="N",
                         help=f"client counts (default: "
                              f"{DEFAULT_CLIENTS})")
-    parser.add_argument("--blocks", type=int, default=48,
+    parser.add_argument("--blocks", type=positive_int, default=48,
                         help="4 KB blocks in the smallio file "
                              "(default 48)")
     parser.add_argument("--files", type=int, default=32,
@@ -345,10 +345,10 @@ def main(argv=None) -> int:
     parser.add_argument("--policy", default="fair",
                         choices=("fifo", "fair"),
                         help="server scheduling policy (default fair)")
-    parser.add_argument("--threads", type=int, default=4,
+    parser.add_argument("--threads", type=positive_int, default=4,
                         help="server service-thread pool size "
                              "(default 4)")
-    parser.add_argument("--queue", type=int, default=32,
+    parser.add_argument("--queue", type=positive_int, default=32,
                         help="server accept-queue bound (default 32)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller grid (1..8 clients, nfs+odafs, "

@@ -50,8 +50,8 @@ from ..params import KB, Params, default_params
 from ..sim import LatencyStats
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, run_grid, \
-    seeded_params
+from .runner import add_campaign_args, campaign_json, positive_int, \
+    run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -416,9 +416,9 @@ def main(argv=None) -> int:
     parser.add_argument("--placement", default="stripe",
                         choices=("stripe", "hash"),
                         help="block placement policy (default stripe)")
-    parser.add_argument("--clients", type=int, default=8,
+    parser.add_argument("--clients", type=positive_int, default=8,
                         help="client hosts per point (default 8)")
-    parser.add_argument("--blocks", type=int, default=128,
+    parser.add_argument("--blocks", type=positive_int, default=128,
                         help="4 KB blocks in the smallio file; keep each "
                              "shard's slice bigger than the client cache "
                              "(default 128)")

@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     parser.add_argument("--systems", metavar="A,B,...",
                         help="comparison campaign over these systems "
                              "instead of single-run timelines")
-    parser.add_argument("--blocks", type=int, default=64,
+    parser.add_argument("--blocks", type=runner.positive_int, default=64,
                         help="blocks per pass in the workload")
     parser.add_argument("--block-kb", type=int, default=4,
                         help="I/O size in KB")

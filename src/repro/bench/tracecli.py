@@ -28,6 +28,7 @@ from ..params import KB, Params, default_params
 from ..sim import (LatencyStats, SimulationError, Span, Tracer, load_jsonl)
 from ..sim.timeseries import window_mean
 from . import traceexport
+from .runner import positive_int
 
 #: Order in which data paths are reported.
 PATH_ORDER = ("rpc", "rdma", "ordma", "ordma-fallback", "local")
@@ -469,7 +470,7 @@ def main(argv=None) -> int:
                              "running a workload")
     parser.add_argument("--system", default="odafs", choices=SYSTEMS,
                         help="NAS system for the live workload")
-    parser.add_argument("--blocks", type=int, default=64,
+    parser.add_argument("--blocks", type=positive_int, default=64,
                         help="blocks per pass in the live workload")
     parser.add_argument("--block-kb", type=int, default=4,
                         help="I/O size in KB")

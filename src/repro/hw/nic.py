@@ -322,21 +322,23 @@ class NIC:
         mtu, header = self._wire_format(msg)
         if fetch_descriptor:
             yield self.pci.descriptor_fetch()
+        frame_cost = self.params.nic.tx_frame_us
+        if (self.params.net.emulate_gm_get_bug
+                and msg.kind is MsgKind.RDMA_GET_RESP
+                and msg.size > 32 * 1024):
+            # Fig. 7's "performance bug in GM get": large gets stall the
+            # firmware per fragment on the responding NIC, capping get
+            # throughput below the link rate.
+            frame_cost += self.params.net.gm_get_bug_stall_us
+        firmware = self.firmware
+        sim = self.sim
         for frame in fragment(msg, mtu, header):
-            frame_cost = self.params.nic.tx_frame_us
-            if (self.params.net.emulate_gm_get_bug
-                    and msg.kind is MsgKind.RDMA_GET_RESP
-                    and msg.size > 32 * 1024):
-                # Fig. 7's "performance bug in GM get": large gets stall the
-                # firmware per fragment on the responding NIC, capping get
-                # throughput below the link rate.
-                frame_cost += self.params.net.gm_get_bug_stall_us
-            fw = self.firmware.request()
+            fw = firmware.request()
             yield fw
             try:
-                yield self.sim.timeout(frame_cost)
+                yield sim.timeout(frame_cost)
             finally:
-                self.firmware.release(fw)
+                firmware.release(fw)
             if from_host and frame.payload_bytes > 0:
                 yield self.pci.dma(frame.payload_bytes)
                 self.stats.incr("dma_bytes", frame.payload_bytes)

@@ -71,6 +71,10 @@ class Message:
 class Frame:
     """One wire fragment of a message."""
 
+    # Explicit slots (dataclass(slots=True) needs Python 3.10): one
+    # Frame per wire fragment.
+    __slots__ = ("message", "index", "count", "payload_bytes", "wire_bytes")
+
     message: Message
     index: int
     count: int

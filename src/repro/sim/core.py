@@ -48,6 +48,24 @@ this loop, so per-hop constant factors dominate campaign wall-clock):
   the way ``succeed()`` triggers it (one seq draw, one run-queue append)
   at the point where ``succeed()`` drew it. ``Request`` and ``Process``
   inline ``Event.__init__``.
+* **A process is its own callback.** A waiting process sits in its
+  target's callback list as itself, not as a bound ``_resume`` method,
+  so no method object is built per wait; ``Process.__call__`` is
+  ``_resume`` for generic callers (``step()``). ``run()`` sees
+  ``type(fn) is Process`` and resumes the process inline, without a
+  Python frame per event. The inline copy mirrors ``_resume`` statement
+  for statement and shares its non-event-yield helper.
+* **No-op completions** draw their seq but are not dispatched. When a
+  process finishes successfully inside ``run()``, its callback list is
+  empty, and ``sys.getrefcount`` shows only the dispatch loop holds it
+  (the callback list being dispatched, the loop variable and the call's
+  argument: exactly 3), the completion bumps ``sim._seq`` and is marked
+  processed on the spot instead of entering the run-queue. Its dispatch
+  would run no callback and not move the clock, and no model object can
+  reach the process to see it processed early, so dispatch order,
+  ``sim._seq`` and ``sim.now`` are unchanged. A process that is held,
+  awaited or failed takes the normal path, so a failure nobody waits
+  for still raises at its own slot.
 
 None of this changes event ordering or seq accounting: the (time, seq)
 dispatch discipline and the points at which seq is drawn are exactly the
@@ -219,9 +237,12 @@ class Process(Event):
     The process event succeeds with the generator's return value, or fails
     with the exception that escaped the generator. Waiting on a failed
     process re-raises that exception in the waiter.
+
+    A waiting process is its own callback: it sits in the callback list
+    of the event it waits on, and calling it with that event resumes it.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name", "_stale")
+    __slots__ = ("_gen", "_waiting_on", "_name", "_stale")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         # Inlined Event.__init__: one Process per frame and datagram.
@@ -232,13 +253,28 @@ class Process(Event):
         self._scheduled = False
         self._deferred = False
         self._gen = gen
+        #: The event this process waits on: the yielded target, or the
+        #: relay trampoline standing in for an already-processed one.
         self._waiting_on: Optional[Event] = None
         #: Events this process was interrupted away from; their eventual
         #: trigger is consumed silently (see :meth:`interrupt`).
         self._stale: Optional[List[Event]] = None
-        self.name = name or getattr(gen, "__name__", "process")
-        # Kick off the process at the current simulation time.
-        sim._trampoline(self._resume, None, True)
+        self._name = name
+        # Kick off the process at the current simulation time on a pooled
+        # trampoline (inlined Simulator._trampoline).
+        pool = sim._trampolines
+        tramp = pool.pop() if pool else _Trampoline(sim)
+        tramp.callbacks.append(self)
+        tramp._value = None
+        tramp._ok = True
+        tramp._scheduled = True
+        sim._seq += 1
+        sim._runq.append(tramp)
+
+    @property
+    def name(self) -> str:
+        """The spawn-time name, or the generator's ``__name__``."""
+        return self._name or getattr(self._gen, "__name__", "process")
 
     @property
     def is_alive(self) -> bool:
@@ -253,7 +289,8 @@ class Process(Event):
         (many timeouts parked on one event) linear. When the stale event
         eventually fires, the process consumes and ignores it; a failure
         carried by such an event is dropped with it, since this process
-        explicitly abandoned the wait.
+        explicitly abandoned the wait. A wait on an already-processed
+        event is a pending relay trampoline, marked stale the same way.
         """
         if self._value is not PENDING and not self._deferred:
             raise SimulationError("cannot interrupt a finished process")
@@ -265,9 +302,14 @@ class Process(Event):
                 self._stale = [target]
             else:
                 self._stale.append(target)
-        self.sim._trampoline(self._resume, Interrupt(cause), False)
+        self.sim._trampoline(self, Interrupt(cause), False)
 
     def _resume(self, event: Event) -> None:
+        """Advance the generator with ``event``'s outcome.
+
+        :meth:`Simulator.run` carries an inline copy of this method (plus
+        the no-op-completion shortcut); the two must stay in step.
+        """
         stale = self._stale
         if stale is not None and event in stale:
             # An abandoned wait fired after the interrupt; drop it.
@@ -283,7 +325,13 @@ class Process(Event):
                 target = self._gen.throw(event._value)
         except StopIteration as stop:
             if self._value is PENDING:
-                self.succeed(stop.value)
+                # Inlined succeed(): the process has never been scheduled.
+                self._value = stop.value
+                self._ok = True
+                self._scheduled = True
+                sim = self.sim
+                sim._seq += 1
+                sim._runq.append(self)
             return
         except BaseException as exc:
             if self._value is PENDING:
@@ -292,19 +340,26 @@ class Process(Event):
                 raise
             return
         if not isinstance(target, Event):
-            err = SimulationError(
-                f"process {self.name!r} yielded non-event {target!r}"
-            )
-            self._gen.close()
-            if self._value is PENDING:
-                self.fail(err)
-            return
-        if target.callbacks is None:
-            # Already processed: resume immediately on a fresh trampoline.
-            self.sim._trampoline(self._resume, target._value, target._ok)
+            self._yielded_non_event(target)
+        elif target.callbacks is None:
+            # Already processed: resume on a fresh trampoline, which
+            # stands in as the wait target so interrupt() can abandon it.
+            self._waiting_on = self.sim._trampoline(
+                self, target._value, target._ok)
         else:
-            target.callbacks.append(self._resume)
-        self._waiting_on = target
+            target.callbacks.append(self)
+            self._waiting_on = target
+
+    __call__ = _resume
+
+    def _yielded_non_event(self, target: Any) -> None:
+        """Fail the process: it yielded ``target``, which is not an event."""
+        err = SimulationError(
+            f"process {self.name!r} yielded non-event {target!r}"
+        )
+        self._gen.close()
+        if self._value is PENDING:
+            self.fail(err)
 
 
 class Condition(Event):
@@ -418,7 +473,7 @@ class Simulator:
             _heappush(self._heap, (when, self._seq, event))
 
     def _trampoline(self, callback: Callable[[Event], None], value: Any,
-                    ok: bool) -> None:
+                    ok: bool) -> "_Trampoline":
         """Schedule ``callback`` for the current time on a pooled event."""
         pool = self._trampolines
         if pool:
@@ -431,6 +486,7 @@ class Simulator:
         tramp._scheduled = True
         self._seq += 1
         self._runq.append(tramp)
+        return tramp
 
     def _recycle(self, tramp: "_Trampoline",
                  callbacks: List[Callable[[Event], None]]) -> None:
@@ -563,16 +619,68 @@ class Simulator:
                 else:
                     break
                 try:
-                    event._deferred = False
+                    cls = type(event)
+                    if cls is Timeout:
+                        # Only timeouts are deferred (valued before due).
+                        event._deferred = False
                     callbacks = event.callbacks
                     event.callbacks = None
                     for fn in callbacks:
-                        fn(event)
+                        if type(fn) is not Process:
+                            fn(event)
+                            continue
+                        # Inline of Process._resume(event): a waiting
+                        # process is its own callback, resumed with no
+                        # extra frame.
+                        stale = fn._stale
+                        if stale is not None and event in stale:
+                            stale.remove(event)
+                            if not stale:
+                                fn._stale = None
+                            continue
+                        fn._waiting_on = None
+                        try:
+                            if event._ok:
+                                target = fn._gen.send(event._value)
+                            else:
+                                target = fn._gen.throw(event._value)
+                        except StopIteration as stop:
+                            # Drop the previous resume's target, which may
+                            # be this very event: a stale reference would
+                            # keep a timeout from being recycled.
+                            target = None
+                            if fn._value is PENDING:
+                                fn._value = stop.value
+                                fn._ok = True
+                                fn._scheduled = True
+                                self._seq += 1
+                                if fn.callbacks or _getrefcount(fn) != 3:
+                                    runq.append(fn)
+                                else:
+                                    # No-op completion: nobody waits and
+                                    # only this loop (the callback list,
+                                    # ``fn``, the call's argument) holds
+                                    # the process, so its dispatch would
+                                    # run nothing. Mark it processed now.
+                                    fn.callbacks = None
+                            continue
+                        except BaseException as exc:
+                            if fn._value is PENDING:
+                                fn.fail(exc)
+                                continue
+                            raise  # pragma: no cover - double fault
+                        if not isinstance(target, Event):
+                            fn._yielded_non_event(target)
+                        elif target.callbacks is None:
+                            fn._waiting_on = self._trampoline(
+                                fn, target._value, target._ok)
+                        else:
+                            target.callbacks.append(fn)
+                            fn._waiting_on = target
                     if event._ok is False and not callbacks:
                         # A failed event nobody waited for is a lost
                         # error; surface it.
                         raise event._value
-                    cls = type(event)
                     if cls is _Trampoline:
                         self._recycle(event, callbacks)
                     elif cls is Timeout and _getrefcount(event) == 2:

@@ -120,11 +120,21 @@ class Resource:
             self._grant()
 
     def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            _prio, _seq, req = _heappop(self._queue)
-            self._users.append(req)
+        queue = self._queue
+        users = self._users
+        sim = self.sim
+        while queue and len(users) < self.capacity:
+            _prio, _seq, req = _heappop(queue)
+            users.append(req)
             self.stats_granted += 1
-            req.succeed(req)
+            # Triggered as the uncontended path does: succeed()'s seq
+            # draw and run-queue append, without its guards (a queued
+            # request is never triggered).
+            req._value = req
+            req._ok = True
+            req._scheduled = True
+            sim._seq += 1
+            sim._runq.append(req)
 
     def acquire(self, priority: int = 0) -> Generator:
         """Process-style helper: ``req = yield from resource.acquire()``."""
@@ -187,20 +197,20 @@ class BandwidthPipe:
         self.stats_transfers = 0
         self.stats_busy_us = 0.0
 
-    def occupancy(self, nbytes: int) -> float:
-        return self.per_transfer_us + nbytes / self.bandwidth
-
     def transfer(self, nbytes: int) -> Event:
         """Return an event that fires when ``nbytes`` have moved."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        start = max(self.sim.now, self._free_at)
-        duration = self.occupancy(nbytes)
-        self._free_at = start + duration
+        sim = self.sim
+        now = sim.now
+        free_at = self._free_at
+        start = free_at if free_at > now else now  # max(), inlined
+        duration = self.per_transfer_us + nbytes / self.bandwidth
+        self._free_at = free_at = start + duration
         self.stats_bytes += nbytes
         self.stats_transfers += 1
         self.stats_busy_us += duration
-        return self.sim.timeout(self._free_at - self.sim.now)
+        return sim.timeout(free_at - now)
 
     def transfer_cut_through(self, nbytes: int) -> Event:
         """Drain-side transfer whose bits streamed in while upstream sent.
@@ -213,14 +223,16 @@ class BandwidthPipe:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        now = self.sim.now
-        duration = self.occupancy(nbytes)
-        arrival = max(now, self._free_at + duration)
+        sim = self.sim
+        now = sim.now
+        duration = self.per_transfer_us + nbytes / self.bandwidth
+        arrival = self._free_at + duration
+        arrival = arrival if arrival > now else now  # max(), inlined
         self._free_at = arrival
         self.stats_bytes += nbytes
         self.stats_transfers += 1
         self.stats_busy_us += duration
-        return self.sim.timeout(arrival - now)
+        return sim.timeout(arrival - now)
 
     def utilization(self, elapsed_us: Optional[float] = None) -> float:
         elapsed = elapsed_us if elapsed_us is not None else self.sim.now

@@ -105,6 +105,17 @@ class TestRender:
         assert exc.value.code == 2
         assert "--clients: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--blocks", "0"),
+                                            ("--threads", "0"),
+                                            ("--queue", "-1")])
+    def test_cli_rejects_sizes_below_one(self, flag, value, capsys):
+        """A zero thread count or negative queue bound used to die with a
+        ValueError traceback, and zero blocks ran; all exit 2 now."""
+        with pytest.raises(SystemExit) as exc:
+            scale.main(["--quick", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestScaleOutClaim:
     def test_odafs_beats_nfs_at_eight_clients(self):

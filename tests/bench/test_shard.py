@@ -115,6 +115,14 @@ class TestRender:
         with pytest.raises(SystemExit):
             shard.main(["--systems", "zfs"])
 
+    @pytest.mark.parametrize("flag", ["--clients", "--blocks"])
+    def test_cli_rejects_count_below_one(self, flag, capsys):
+        """Zero clients or blocks used to run and exit 0."""
+        with pytest.raises(SystemExit) as exc:
+            shard.main(["--quick", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
     def test_campaign_rejects_unknown_mix(self):
         with pytest.raises(ValueError):
             shard.shard_campaign(mixes=("sfs",))

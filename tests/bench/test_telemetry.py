@@ -94,6 +94,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             telemetry.main(["--systems", "nfs,bogus"])
 
+    def test_zero_blocks_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            telemetry.main(["--quick", "--blocks", "0"])
+        assert exc.value.code == 2
+        assert "--blocks: must be >= 1" in capsys.readouterr().err
+
     def test_dump_writes_jsonl(self, tmp_path, capsys):
         from repro.sim import load_timeseries_jsonl
         path = tmp_path / "ts.jsonl"

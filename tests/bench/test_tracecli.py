@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import tracecli
 from repro.bench.cli import main as bench_main
 
@@ -74,6 +76,12 @@ class TestCLI:
         assert "[OK <1%]" in out
         for path in ("rdma", "ordma", "ordma-fallback"):
             assert path in out
+
+    def test_zero_blocks_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tracecli.main(["--quick", "--blocks", "0"])
+        assert exc.value.code == 2
+        assert "--blocks: must be >= 1" in capsys.readouterr().err
 
     def test_rpc_path_for_plain_nfs(self, capsys):
         assert tracecli.main(["--quick", "--system", "nfs"]) == 0

@@ -85,6 +85,14 @@ def test_cli_rejects_rate_outside_unit_interval(rate, capsys):
         capsys.readouterr().err
 
 
+def test_cli_rejects_zero_blocks(capsys):
+    """Zero blocks per pass used to run and exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--blocks", "0"])
+    assert exc.value.code == 2
+    assert "--blocks: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_dump_writes_loadable_trace(tmp_path, capsys):
     path = tmp_path / "chaos.jsonl"
     rc = main(["--seed", "7", "--systems", "odafs", "--classes", "nic",

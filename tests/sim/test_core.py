@@ -236,6 +236,39 @@ def test_interrupt_raises_in_process():
     assert victim.value == ("interrupted", "deadline", 5.0)
 
 
+def test_interrupt_during_relay_lands_at_the_original_yield():
+    # The victim waits on an already-processed event, so its wake-up is a
+    # pending relay; the interrupt arrives before that relay fires. The
+    # relay must be abandoned like any other wait: the Interrupt lands at
+    # the original yield, and no later wait is woken by a stale one.
+    sim = Simulator()
+    old = sim.event()
+    old.succeed("old")
+    tick = sim.timeout(1.0)
+    log = []
+
+    def victim():
+        yield tick
+        try:
+            value = yield old  # processed long ago: a relay
+            log.append(("resumed", value, sim.now))
+            yield sim.timeout(10.0)
+            log.append(("t2", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", intr.cause, sim.now))
+        value = yield sim.timeout(100.0, value="t3")
+        log.append((value, sim.now))
+
+    def interrupter(proc):
+        yield tick  # resumes right after the victim, before its relay
+        proc.interrupt("cancel")
+
+    proc = sim.process(victim())
+    sim.process(interrupter(proc))
+    sim.run()
+    assert log == [("interrupted", "cancel", 1.0), ("t3", 101.0)]
+
+
 def test_interrupt_finished_process_rejected():
     sim = Simulator()
 

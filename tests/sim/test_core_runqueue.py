@@ -12,10 +12,17 @@ kernels that the current one must reproduce bit-for-bit.
 The same holds for resources, whose uncontended requests skip the wait
 queue's heap: a Hypothesis test replays random request/release/cancel
 sequences against a heap-only reference resource.
+
+``run()`` resumes processes inline and marks no-op completions processed
+without a dispatch. Directed tests pin which completions are skipped,
+and a Hypothesis test drives random process programs once with
+``run()`` and once with a ``step()`` loop (the plain ``_resume`` path),
+demanding the same callbacks, values, times and seq count.
 """
 
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.params import KB, default_params
-from repro.sim import Resource, SimulationError, Simulator
+from repro.sim import Interrupt, Process, Resource, SimulationError, Simulator
 from repro.sim.resources import Request
 
 
@@ -263,3 +270,221 @@ def test_uncontended_grant_matches_heap_only_reference(capacity, ops):
     simulator seq count, as the heap-only reference."""
     assert _replay(Resource, capacity, ops) == \
         _replay(HeapOnlyResource, capacity, ops)
+
+
+class CountingRunQueue(deque):
+    """A run-queue that counts the process completions appended to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.completions = 0
+
+    def append(self, item):
+        if type(item) is Process:
+            self.completions += 1
+        super().append(item)
+
+
+def _counting_sim():
+    sim = Simulator()
+    sim._runq = CountingRunQueue()
+    return sim
+
+
+def _child(sim, value="done", delay=1.0):
+    yield sim.timeout(delay)
+    return value
+
+
+class TestNoOpCompletions:
+    def test_fire_and_forget_process_is_elided(self):
+        sim = _counting_sim()
+
+        def spawner():
+            for _ in range(5):
+                sim.process(_child(sim))  # nobody keeps it
+                yield sim.timeout(2.0)
+
+        sim.process(spawner())
+        sim.run()
+        assert sim._runq.completions == 0
+        # Bootstraps, timeouts and completions all still drew their seq.
+        assert sim._seq == 1 + 5 * (1 + 1 + 1 + 1) + 1
+
+    def test_held_process_is_dispatched(self):
+        sim = _counting_sim()
+        held = sim.process(_child(sim))
+        assert not held.processed
+        sim.run()
+        assert sim._runq.completions == 1
+        assert held.processed and held.value == "done"
+
+    def test_process_with_a_plain_callback_is_dispatched(self):
+        # Only the kernel holds the child, but a callback waits on it.
+        sim = _counting_sim()
+        seen = []
+        sim.process(_child(sim, "y")).add_callback(
+            lambda ev: seen.append((ev.value, sim.now)))
+        sim.run()
+        assert seen == [("y", 1.0)]
+        assert sim._runq.completions == 1
+
+    def test_awaited_after_finishing_resumes_where_it_did(self):
+        # Both wake-ups at t=1 are heap entries, the child's first; so
+        # the waiter yields the child after it finished but before its
+        # completion (a run-queue entry) was dispatched, and the wait
+        # hangs on that completion. The second wait, long after, goes
+        # through a relay. The (value, time, seq) triples are the
+        # pre-shortcut kernel's.
+        def scenario(sim):
+            seen = []
+
+            def waiter():
+                child = sim.process(_child(sim, "x", 1.0))
+                yield sim.timeout(0.0)  # let the child schedule first
+                yield sim.timeout(1.0)
+                value = yield child
+                seen.append((value, sim.now, sim._seq))
+                yield sim.timeout(4.0)
+                value = yield child
+                seen.append((value, sim.now, sim._seq))
+
+            sim.process(waiter())
+            return seen
+
+        sim = _counting_sim()
+        seen = scenario(sim)
+        sim.run()
+        assert seen == [("x", 1.0, 6), ("x", 5.0, 8)]
+        assert sim._runq.completions == 1  # the waiter's own is elided
+
+        stepped = Simulator()
+        reference = scenario(stepped)
+        while stepped._heap or stepped._runq:
+            stepped.step()
+        assert seen == reference and sim._seq == stepped._seq
+
+    def test_process_in_all_of_is_dispatched(self):
+        sim = _counting_sim()
+
+        def parent():
+            result = yield sim.all_of([sim.process(_child(sim, "a", 1.0)),
+                                       sim.process(_child(sim, "b", 2.0))])
+            return sorted(result.values())
+
+        assert sim.run_process(parent()) == ["a", "b"]
+        assert sim._runq.completions == 3  # both children and the parent
+
+    def test_unwaited_failure_still_raises_at_its_slot(self):
+        sim = _counting_sim()
+        later = []
+
+        def failing():
+            yield sim.timeout(1.0)
+            raise ValueError("lost")
+
+        def bystander():
+            yield sim.timeout(1.0)
+            later.append(sim.now)
+
+        sim.process(failing())
+        sim.process(bystander())
+        with pytest.raises(ValueError, match="lost"):
+            sim.run()
+        assert sim._runq.completions == 1
+        # The failure surfaced at its own dispatch: the bystander, woken
+        # by a later-seq timeout at the same time, has already run.
+        assert later == [1.0] and sim.now == 1.0
+
+
+# -- run() vs step(): random process programs ---------------------------
+
+_ACTIONS = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from([0.0, 1.0, 2.5])),
+    st.tuples(st.sampled_from(["spawn", "hold", "all_of", "any_of"]),
+              st.integers(0, 3)),
+    st.tuples(st.sampled_from(["await", "interrupt"]), st.integers(0, 7)),
+    st.tuples(st.sampled_from(["fail", "relay"]), st.just(0)),
+)
+_PROGRAMS = st.lists(st.lists(_ACTIONS, max_size=6), min_size=1, max_size=5)
+
+
+def _drive(programs, stepwise):
+    """Run ``programs`` (program 0 is the root; program i spawns only
+    programs after i) and return everything the model can observe."""
+    sim = Simulator()
+    early = sim.event()
+    early.succeed("early")  # processed before anyone waits on it
+    log, lost = [], []
+
+    def spawn(idx, name, keep=False):
+        if idx >= len(programs):
+            return None
+        proc = sim.process(body(idx, name))
+        if keep:
+            proc.add_callback(lambda ev: log.append(
+                ("done", name, ev.ok, repr(ev.value), sim.now)))
+        return proc
+
+    def body(idx, name):
+        held = []
+        for n, (op, arg) in enumerate(programs[idx]):
+            child = f"{name}.{n}"
+            if op == "fail":
+                raise ValueError(name)
+            value = None
+            try:
+                if op == "timeout":
+                    value = yield sim.timeout(arg, value=child)
+                elif op == "spawn":
+                    spawn(idx + 1 + arg, child)
+                elif op == "hold":
+                    proc = spawn(idx + 1 + arg, child, keep=True)
+                    if proc is not None:
+                        held.append(proc)
+                elif op == "await" and held:
+                    value = yield held[arg % len(held)]
+                elif op == "interrupt" and held:
+                    try:
+                        held[arg % len(held)].interrupt(name)
+                    except SimulationError as exc:
+                        value = str(exc)
+                elif op in ("all_of", "any_of"):
+                    kids = [spawn(idx + 1 + arg, child + "a"),
+                            spawn(idx + 2 + arg, child + "b"),
+                            sim.timeout(1.5, value="slow")]
+                    kids = [kid for kid in kids if kid is not None]
+                    cond = sim.all_of if op == "all_of" else sim.any_of
+                    value = list((yield cond(kids)).values())
+                elif op == "relay":
+                    value = yield early
+            except Interrupt as intr:
+                value = ("interrupted", intr.cause)
+            except ValueError as exc:
+                value = ("child failed", str(exc))
+            log.append((name, n, op, repr(value), sim.now))
+        return name
+
+    spawn(0, "p")
+    while True:
+        try:
+            if stepwise:
+                while sim._heap or sim._runq:
+                    sim.step()
+            else:
+                sim.run()
+            break
+        except (ValueError, Interrupt) as exc:
+            lost.append((type(exc).__name__, str(exc), sim.now))
+    return log, lost, sim.now, sim._seq
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs=_PROGRAMS)
+def test_inline_resume_matches_step(programs):
+    """run()'s inline resume and no-op-completion shortcut are invisible:
+    a step() loop, which resumes through Process._resume and dispatches
+    every completion, sees the same callbacks, values, times, lost
+    failures and final seq."""
+    assert _drive(programs, stepwise=False) == \
+        _drive(programs, stepwise=True)
