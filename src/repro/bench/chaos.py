@@ -61,7 +61,7 @@ def add_fault_campaign_args(parser: argparse.ArgumentParser,
     """
     parser.add_argument("--blocks", type=positive_int, default=64,
                         help="4 KB blocks per pass (default 64)")
-    parser.add_argument("--passes", type=int, default=2,
+    parser.add_argument("--passes", type=positive_int, default=2,
                         help="read passes over the file (default 2)")
     parser.add_argument("--quick", action="store_true", help=quick_help)
     add_campaign_args(parser, seed_help=seed_help)

@@ -293,3 +293,31 @@ def campaign_json(results: Any, **header: Any) -> str:
     """The canonical campaign JSON: header fields in keyword order, then
     ``results``, 2-space indent — the byte layout the CI smoke jobs diff."""
     return json.dumps({**header, "results": results}, indent=2)
+
+
+def point_head(cluster: Any, ops: int, unit_bytes: int, elapsed: float,
+               latency: Any) -> Dict[str, Any]:
+    """The keys every scaling-campaign point opens with, in order:
+    ``ops``, ``sim_us``, ``elapsed_us``, ``throughput_mb_s``, ``ops_s``
+    and ``p50/p95/p99_us`` (rounded: byte-identical across runs)."""
+    def pct(q: float) -> float:
+        return round(latency.percentile(q), 2) if latency.count else 0.0
+    return {
+        "ops": ops,
+        "sim_us": round(cluster.sim.now, 2),
+        "elapsed_us": round(elapsed, 2),
+        "throughput_mb_s": (round(ops * unit_bytes / elapsed, 3)
+                            if elapsed > 0 else 0.0),
+        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
+        "p50_us": pct(50), "p95_us": pct(95), "p99_us": pct(99),
+    }
+
+
+def ordma_frac(cluster: Any) -> float:
+    """Share of ODAFS client cache fills served by ORDMA, over every RPC
+    endpoint of every client (rounded)."""
+    endpoints = [ep for i in range(len(cluster.clients))
+                 for _, ep in cluster.endpoints(i)]
+    ordma = sum(ep.stats.get("ordma_reads") for ep in endpoints)
+    fills = ordma + sum(ep.stats.get("rpc_fills") for ep in endpoints)
+    return round(ordma / fills, 4) if fills else 0.0

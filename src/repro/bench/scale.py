@@ -35,15 +35,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..cluster import SYSTEMS, Cluster
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
+from ..workloads import postmark
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, positive_int, \
-    run_grid, seeded_params
+from .runner import add_campaign_args, campaign_json, ordma_frac, \
+    point_head, positive_int, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -82,18 +83,8 @@ def _collect(cluster: Cluster, system: str, ops: int, elapsed: float,
              latency: LatencyStats) -> Dict[str, Any]:
     """Shape one campaign point (rounded: byte-identical across runs)."""
     sched = cluster.scheduler
-    rejected_calls = sum(c.rpc.stats.get("rejected_calls")
-                         for c in cluster.clients)
-    point: Dict[str, Any] = {
-        "ops": ops,
-        "sim_us": round(cluster.sim.now, 2),
-        "elapsed_us": round(elapsed, 2),
-        "throughput_mb_s": (round(ops * BLOCK / elapsed, 3)
-                            if elapsed > 0 else 0.0),
-        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
-        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
-        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
-        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
+    point = point_head(cluster, ops, BLOCK, elapsed, latency)
+    point.update({
         "server_cpu": round(cluster.server_cpu_utilization(), 4),
         "sched": {
             "admitted": sched.stats.get("admitted"),
@@ -102,13 +93,11 @@ def _collect(cluster: Cluster, system: str, ops: int, elapsed: float,
             "peak_qdepth": sched.peak_qdepth,
             "peak_active": sched.peak_active,
         },
-        "client_rejected_calls": rejected_calls,
-    }
+        "client_rejected_calls": sum(c.rpc.stats.get("rejected_calls")
+                                     for c in cluster.clients),
+    })
     if system == "odafs":
-        ordma = sum(c.stats.get("ordma_reads") for c in cluster.clients)
-        rpc_fills = sum(c.stats.get("rpc_fills") for c in cluster.clients)
-        fills = ordma + rpc_fills
-        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
+        point["ordma_frac"] = ordma_frac(cluster)
     return point
 
 
@@ -128,9 +117,8 @@ def run_point_smallio(system: str, n_clients: int,
     workload = MultiClientReadWorkload(cluster, "scale", blocks * BLOCK,
                                        app_block_size=BLOCK,
                                        latency=latency)
-    result = workload.run()
+    elapsed = workload.run()["elapsed_us"]
     ops = n_clients * blocks  # measured pass only
-    elapsed = ops * BLOCK / result["throughput_mb_s"]
     return _collect(cluster, system, ops, elapsed, latency)
 
 
@@ -145,46 +133,9 @@ def run_point_postmark(system: str, n_clients: int,
     cluster = Cluster(p, system=system, n_clients=n_clients,
                       block_size=BLOCK, server_cache_blocks=n_files + 8,
                       client_kwargs=_client_kwargs(system))
-    for i in range(n_files):
-        cluster.create_file(f"pm{i:06d}", BLOCK)
-    sim = cluster.sim
     latency = LatencyStats("txn_us")
-    warm_done = [sim.event() for _ in cluster.clients]
-    warm_barrier = sim.all_of(warm_done)
-
-    def txn(client, name: str) -> Generator:
-        proto = client.host.params.proto
-        yield from client.host.cpu.execute(proto.app_txn_us,
-                                           category="app")
-        yield from client.open(name)
-        yield from client.read(name, 0, BLOCK)
-        yield from client.close(name)
-
-    def client_main(idx: int) -> Generator:
-        client = cluster.clients[idx]
-        rng = cluster.rand.stream(f"scale.pm{idx}")
-        # Warm-up pass: touch every file once (delegations granted and,
-        # for ODAFS, remote references piggybacked into the directory).
-        for i in range(n_files):
-            yield from txn(client, f"pm{i:06d}")
-        warm_done[idx].succeed(None)
-        yield warm_barrier
-        for _ in range(transactions):
-            name = f"pm{rng.randrange(n_files):06d}"
-            start = sim.now
-            yield from txn(client, name)
-            latency.record(sim.now - start)
-
-    def main() -> Generator:
-        procs = [sim.process(client_main(i), name=f"scale-pm{i}")
-                 for i in range(n_clients)]
-        yield warm_barrier
-        cluster.reset_measurements()
-        start = sim.now
-        yield sim.all_of(procs)
-        return sim.now - start
-
-    elapsed = sim.run_process(main())
+    elapsed = postmark.run_multi_client(cluster, n_files, transactions,
+                                        "scale", latency, BLOCK)
     ops = n_clients * transactions
     return _collect(cluster, system, ops, elapsed, latency)
 
@@ -337,9 +288,9 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=positive_int, default=48,
                         help="4 KB blocks in the smallio file "
                              "(default 48)")
-    parser.add_argument("--files", type=int, default=32,
+    parser.add_argument("--files", type=positive_int, default=32,
                         help="PostMark file-set size (default 32)")
-    parser.add_argument("--transactions", type=int, default=48,
+    parser.add_argument("--transactions", type=positive_int, default=48,
                         help="measured PostMark transactions per client "
                              "(default 48)")
     parser.add_argument("--policy", default="fair",

@@ -48,10 +48,11 @@ from ..nas.shard import SHARD_SYSTEMS, ShardDownError, ShardedCluster
 from ..nas.shard.placement import shard_config_error
 from ..params import KB, Params, default_params
 from ..sim import LatencyStats
+from ..workloads import postmark
 from ..workloads.smallio import MultiClientReadWorkload
 from .plot import ascii_chart
-from .runner import add_campaign_args, campaign_json, positive_int, \
-    run_grid, seeded_params
+from .runner import add_campaign_args, campaign_json, ordma_frac, \
+    point_head, positive_int, run_grid, seeded_params
 from .runner import base_params as runner_base_params
 
 #: Workload mixes the campaign can sweep.
@@ -110,16 +111,8 @@ def _collect(cluster: ShardedCluster, ops: int, unit_bytes: int,
              elapsed: float, latency: LatencyStats) -> Dict[str, Any]:
     """Shape one campaign point (rounded: byte-identical across runs)."""
     router_stats = [r.stats for r in cluster.clients]
-    point: Dict[str, Any] = {
-        "ops": ops,
-        "sim_us": round(cluster.sim.now, 2),
-        "elapsed_us": round(elapsed, 2),
-        "throughput_mb_s": (round(ops * unit_bytes / elapsed, 3)
-                            if elapsed > 0 else 0.0),
-        "ops_s": (round(ops / elapsed * 1e6, 1) if elapsed > 0 else 0.0),
-        "p50_us": round(latency.percentile(50), 2) if latency.count else 0.0,
-        "p95_us": round(latency.percentile(95), 2) if latency.count else 0.0,
-        "p99_us": round(latency.percentile(99), 2) if latency.count else 0.0,
+    point = point_head(cluster, ops, unit_bytes, elapsed, latency)
+    point.update({
         "server_cpu": round(cluster.server_cpu_utilization(), 4),
         "server_cpus": [round(u, 4)
                         for u in cluster.server_cpu_utilizations()],
@@ -127,14 +120,9 @@ def _collect(cluster: ShardedCluster, ops: int, unit_bytes: int,
         "routed_segments": sum(s.get("routed_segments")
                                for s in router_stats),
         "fanout_reads": sum(s.get("fanout_reads") for s in router_stats),
-    }
+    })
     if cluster.system == "odafs":
-        ordma = sum(sub.stats.get("ordma_reads")
-                    for r in cluster.clients for sub in r.subclients)
-        rpc_fills = sum(sub.stats.get("rpc_fills")
-                        for r in cluster.clients for sub in r.subclients)
-        fills = ordma + rpc_fills
-        point["ordma_frac"] = round(ordma / fills, 4) if fills else 0.0
+        point["ordma_frac"] = ordma_frac(cluster)
     return point
 
 
@@ -156,9 +144,8 @@ def run_point_smallio(system: str, n_servers: int,
     workload = MultiClientReadWorkload(cluster, "shard", blocks * BLOCK,
                                        app_block_size=APP_BLOCK,
                                        latency=latency)
-    result = workload.run()
+    elapsed = workload.run()["elapsed_us"]
     ops = n_clients * blocks * BLOCK // APP_BLOCK  # measured pass only
-    elapsed = ops * APP_BLOCK / result["throughput_mb_s"]
     return _collect(cluster, ops, APP_BLOCK, elapsed, latency)
 
 
@@ -175,44 +162,9 @@ def run_point_postmark(system: str, n_servers: int,
                              block_size=BLOCK,
                              server_cache_blocks=n_files + 8,
                              client_kwargs=_client_kwargs(system, width=1))
-    for i in range(n_files):
-        cluster.create_file(f"pm{i:06d}", BLOCK)
-    sim = cluster.sim
     latency = LatencyStats("txn_us")
-    warm_done = [sim.event() for _ in cluster.clients]
-    warm_barrier = sim.all_of(warm_done)
-
-    def txn(client, name: str) -> Generator:
-        proto = client.host.params.proto
-        yield from client.host.cpu.execute(proto.app_txn_us,
-                                           category="app")
-        yield from client.open(name)
-        yield from client.read(name, 0, BLOCK)
-        yield from client.close(name)
-
-    def client_main(idx: int) -> Generator:
-        client = cluster.clients[idx]
-        rng = cluster.rand.stream(f"shard.pm{idx}")
-        for i in range(n_files):
-            yield from txn(client, f"pm{i:06d}")
-        warm_done[idx].succeed(None)
-        yield warm_barrier
-        for _ in range(transactions):
-            name = f"pm{rng.randrange(n_files):06d}"
-            start = sim.now
-            yield from txn(client, name)
-            latency.record(sim.now - start)
-
-    def driver() -> Generator:
-        procs = [sim.process(client_main(i), name=f"shard-pm{i}")
-                 for i in range(len(cluster.clients))]
-        yield warm_barrier
-        cluster.reset_measurements()
-        start = sim.now
-        yield sim.all_of(procs)
-        return sim.now - start
-
-    elapsed = sim.run_process(driver())
+    elapsed = postmark.run_multi_client(cluster, n_files, transactions,
+                                        "shard", latency, BLOCK)
     ops = n_clients * transactions
     return _collect(cluster, ops, BLOCK, elapsed, latency)
 
@@ -422,9 +374,9 @@ def main(argv=None) -> int:
                         help="4 KB blocks in the smallio file; keep each "
                              "shard's slice bigger than the client cache "
                              "(default 128)")
-    parser.add_argument("--files", type=int, default=32,
+    parser.add_argument("--files", type=positive_int, default=32,
                         help="PostMark file-set size (default 32)")
-    parser.add_argument("--transactions", type=int, default=48,
+    parser.add_argument("--transactions", type=positive_int, default=48,
                         help="measured PostMark transactions per client "
                              "(default 48)")
     parser.add_argument("--no-failover", action="store_true",

@@ -216,9 +216,9 @@ def main(argv=None) -> int:
                              "instead of single-run timelines")
     parser.add_argument("--blocks", type=runner.positive_int, default=64,
                         help="blocks per pass in the workload")
-    parser.add_argument("--block-kb", type=int, default=4,
+    parser.add_argument("--block-kb", type=runner.positive_int, default=4,
                         help="I/O size in KB")
-    parser.add_argument("--passes", type=int, default=2,
+    parser.add_argument("--passes", type=runner.positive_int, default=2,
                         help="number of read passes over the file")
     parser.add_argument("--interval", type=float, default=50.0,
                         metavar="US", help="sampling interval in sim-us")

@@ -472,9 +472,9 @@ def main(argv=None) -> int:
                         help="NAS system for the live workload")
     parser.add_argument("--blocks", type=positive_int, default=64,
                         help="blocks per pass in the live workload")
-    parser.add_argument("--block-kb", type=int, default=4,
+    parser.add_argument("--block-kb", type=positive_int, default=4,
                         help="I/O size in KB")
-    parser.add_argument("--passes", type=int, default=2,
+    parser.add_argument("--passes", type=positive_int, default=2,
                         help="number of read passes over the file")
     parser.add_argument("--dump", metavar="PATH",
                         help="also write the raw trace as JSONL")

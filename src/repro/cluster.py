@@ -1,4 +1,4 @@
-"""Testbed wiring: hosts, switch, server and clients for one experiment.
+"""Testbed wiring: hosts, switch, server stacks and clients for one run.
 
 A :class:`Cluster` reproduces the paper's experimental platform — up to
 four PCs on a 2 Gb/s switch (Section 5) — configured for one of the five
@@ -13,11 +13,21 @@ nfs-hybrid  NFSServer (UDP+GM)    NFSHybridClient (RDMA data)
 dafs        DAFSServer (VI)       DAFSClient (user-level)
 odafs       ODAFSServer (VI)      ODAFSClient (ORDMA)
 ========== ===================== ============================+
+
+Server-side state is list-shaped — ``servers``, ``server_hosts``,
+``filesystems``, ``disks``, ``caches``, ``schedulers`` — with one full
+stack (host, disk, file cache, optional admission scheduler) per entry.
+A plain cluster wires one; ``server``, ``server_host``, ``fs``, ``disk``,
+``cache`` and ``scheduler`` alias element 0. The sharded subclass
+(:class:`repro.nas.shard.ShardedCluster`) wires ``params.shard.n_servers``
+and overrides only client wiring, placement and cache warming.
+:meth:`Cluster.label` and :meth:`Cluster.endpoints` carry the one naming
+rule every host, metric and RNG stream follows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .fs.disk import Disk
 from .fs.files import FileSystem
@@ -31,7 +41,8 @@ from .nas.client.nfs_remap import NFSRemapClient
 from .nas.client.odafs import ODAFSClient
 from .nas.server.filecache import ServerFileCache
 from .nas.server.sched import RequestScheduler
-from .nas.server.server import DAFSServer, NFSServer, ODAFSServer
+from .nas.server.server import (DAFS_PORT, NFS_PORT, DAFSServer, NFSServer,
+                                ODAFSServer)
 from .net.link import Switch
 from .net.packet import reset_msg_ids
 from .params import Params, default_params
@@ -43,7 +54,10 @@ SYSTEMS = ("nfs", "nfs-prepost", "nfs-remap", "nfs-hybrid", "dafs", "odafs")
 
 
 class Cluster:
-    """One wired experiment: a server plus ``n_clients`` client hosts."""
+    """One wired experiment: server stacks plus ``n_clients`` client hosts."""
+
+    #: Server stacks wired (the sharded subclass reads ``params.shard``).
+    n_servers = 1
 
     def __init__(self, params: Optional[Params] = None,
                  system: str = "dafs", n_clients: int = 1,
@@ -53,10 +67,9 @@ class Cluster:
                  use_capabilities: bool = True,
                  server_preload_tlb: bool = True,
                  client_kwargs: Optional[Dict] = None):
-        if system not in SYSTEMS:
-            raise ValueError(f"unknown system {system!r}; one of {SYSTEMS}")
         self.params = params or default_params()
         self.system = system
+        self._configure()
         self.sim = Simulator()
         self.rand = RandomStreams(self.params.seed)
         # The switch draws loss decisions from a named stream of the
@@ -65,35 +78,55 @@ class Cluster:
                              rng=self.rand.stream("net.loss"))
         self.block_size = block_size or self.params.storage.server_cache_block
 
-        self.server_host = Host(self.sim, self.params, self.switch, "server",
-                                use_capabilities=use_capabilities)
-        self.fs = FileSystem(self.block_size)
-        self.disk = Disk(self.sim, self.params.storage,
-                         name="server.disk")
-        self.cache = ServerFileCache(self.server_host, self.block_size,
-                                     server_cache_blocks,
-                                     export=(system == "odafs"),
-                                     preload_tlb=server_preload_tlb)
-        if system == "odafs":
-            self.server = ODAFSServer(self.server_host, self.fs, self.disk,
-                                      self.cache, mode=server_notify_mode)
-        elif system == "dafs":
-            self.server = DAFSServer(self.server_host, self.fs, self.disk,
-                                     self.cache, mode=server_notify_mode)
-        else:
-            self.server = NFSServer(self.server_host, self.fs, self.disk,
-                                    self.cache)
-        #: Admission/request scheduler; ``None`` unless ``params.sched``
-        #: enables a policy (the seed dispatch model stays untouched).
-        self.scheduler: Optional[RequestScheduler] = None
+        self.server_hosts: List[Host] = []
+        self.filesystems: List[FileSystem] = []
+        self.disks: List[Disk] = []
+        self.caches: List[ServerFileCache] = []
+        self.servers = []
+        #: Admission/request schedulers; ``None`` entries unless
+        #: ``params.sched`` enables a policy (the seed dispatch model
+        #: stays untouched).
+        self.schedulers: List[Optional[RequestScheduler]] = []
         sched_p = self.params.sched
-        if sched_p.policy != "none":
-            self.scheduler = RequestScheduler(
-                self.sim, policy=sched_p.policy,
-                service_threads=sched_p.service_threads,
-                max_queue=sched_p.max_queue)
-            self.server.rpc.attach_scheduler(self.scheduler)
-        self.server.start()
+        for k in range(self.n_servers):
+            host = Host(self.sim, self.params, self.switch,
+                        self.label("server", k),
+                        use_capabilities=use_capabilities)
+            fs = FileSystem(self.block_size)
+            disk = Disk(self.sim, self.params.storage,
+                        name=f"{host.name}.disk")
+            cache = ServerFileCache(host, self.block_size,
+                                    server_cache_blocks,
+                                    export=(system == "odafs"),
+                                    preload_tlb=server_preload_tlb)
+            if system == "odafs":
+                server = ODAFSServer(host, fs, disk, cache,
+                                     port=DAFS_PORT + k,
+                                     mode=server_notify_mode)
+            elif system == "dafs":
+                server = DAFSServer(host, fs, disk, cache,
+                                    port=DAFS_PORT + k,
+                                    mode=server_notify_mode)
+            else:
+                server = NFSServer(host, fs, disk, cache, port=NFS_PORT + k)
+            scheduler = None
+            if sched_p.policy != "none":
+                scheduler = RequestScheduler(
+                    self.sim, policy=sched_p.policy,
+                    service_threads=sched_p.service_threads,
+                    max_queue=sched_p.max_queue)
+                server.rpc.attach_scheduler(scheduler)
+            server.start()
+            self.server_hosts.append(host)
+            self.filesystems.append(fs)
+            self.disks.append(disk)
+            self.caches.append(cache)
+            self.servers.append(server)
+            self.schedulers.append(scheduler)
+        (self.server_host, self.fs, self.disk, self.cache, self.server,
+         self.scheduler) = (self.server_hosts[0], self.filesystems[0],
+                            self.disks[0], self.caches[0], self.servers[0],
+                            self.schedulers[0])
 
         kwargs = dict(client_kwargs or {})
         self.client_hosts: List[Host] = []
@@ -102,18 +135,19 @@ class Cluster:
             host = Host(self.sim, self.params, self.switch, f"client{i}",
                         use_capabilities=use_capabilities)
             self.client_hosts.append(host)
-            client = self._make_client(host, kwargs)
-            if self.scheduler is not None:
-                # Rejections come back as busy replies; each client backs
-                # off on its own seeded jitter stream (PR-2 machinery).
-                client.rpc.reject_retry = RetryPolicy(
+            self.clients.append(self._make_client(host, kwargs))
+            if sched_p.policy == "none":
+                continue
+            for suffix, endpoint in self.endpoints(i):
+                # Rejections come back as busy replies; each endpoint
+                # backs off on its own seeded jitter stream.
+                endpoint.rpc.reject_retry = RetryPolicy(
                     backoff_base_us=sched_p.reject_backoff_base_us,
                     backoff_factor=sched_p.reject_backoff_factor,
                     backoff_cap_us=sched_p.reject_backoff_cap_us,
                     jitter=sched_p.reject_jitter,
                     max_retries=sched_p.reject_max_retries,
-                    rng=self.rand.stream(f"{host.name}.reject"))
-            self.clients.append(client)
+                    rng=self.rand.stream(f"{host.name}.reject{suffix}"))
 
         #: One hierarchical read-out over every component's instruments.
         self.metrics = MetricsRegistry()
@@ -121,6 +155,37 @@ class Cluster:
         #: Continuous telemetry; ``None`` until :meth:`attach_sampler`.
         self.sampler: Optional[TimeSeriesSampler] = None
         self.reset()
+
+    def _configure(self) -> None:
+        """Reject an unknown system before anything is wired."""
+        if self.system not in SYSTEMS:
+            raise ValueError(f"unknown system {self.system!r}; "
+                             f"one of {SYSTEMS}")
+
+    # -- naming ---------------------------------------------------------------
+
+    def label(self, base: str, k: int) -> str:
+        """``base`` as named for server stack ``k``.
+
+        A plain cluster keeps the testbed's bare names (host ``server``,
+        RNG streams ``disk`` and ``server``) so its seeds and digests
+        never move; a sharded cluster indexes them (``server0``,
+        ``disk1``).
+        """
+        return base
+
+    def endpoints(self, i: int) -> List[Tuple[str, Any]]:
+        """Client ``i``'s RPC endpoints as ``(name suffix, endpoint)``
+        pairs: the client itself, suffix ``""`` (a sharded cluster has
+        one per-server subclient each, suffix ``.s{k}``)."""
+        return [("", self.clients[i])]
+
+    def _client_extras(self, i: int) -> List[Tuple[str, Any]]:
+        """``(name, component)`` pairs client ``i`` carries beyond its
+        endpoints; each has ``stats`` and ``gauges()``."""
+        return []
+
+    # -- read-out -------------------------------------------------------------
 
     def reset(self) -> None:
         """Zero every id space a run consumes: the module-global message
@@ -132,34 +197,40 @@ class Cluster:
         RPC internals) directly.
         """
         reset_msg_ids()
-        self.server.rpc.reset_session()
-        for client in self.clients:
-            # A shard router fronts one RPC client per server; plain
-            # clients are their own single "subclient".
-            for sub in getattr(client, "subclients", None) or [client]:
-                sub.rpc.reset_session()
+        for server in self.servers:
+            server.rpc.reset_session()
+        for i in range(len(self.clients)):
+            for _, endpoint in self.endpoints(i):
+                endpoint.rpc.reset_session()
 
     def _register_metrics(self) -> None:
         reg = self.metrics
-        reg.register("server.cpu", self.server_host.cpu.busy)
-        reg.register("server.nic", self.server_host.nic.stats)
-        reg.register("server.disk", self.disk.stats)
-        reg.register("server.cache", self.cache.stats)
-        reg.register("server.ops", self.server.stats)
-        reg.register("server.rpc", self.server.rpc.stats)
-        if self.server.checksums is not None:
-            reg.register("server.integrity", self.server.integrity)
-        if self.scheduler is not None:
-            reg.register("server.sched", self.scheduler.stats)
-        for i, (host, client) in enumerate(zip(self.client_hosts,
-                                               self.clients)):
+        for host, server, disk, cache, scheduler in zip(
+                self.server_hosts, self.servers, self.disks, self.caches,
+                self.schedulers):
+            prefix = host.name
+            reg.register(f"{prefix}.cpu", host.cpu.busy)
+            reg.register(f"{prefix}.nic", host.nic.stats)
+            reg.register(f"{prefix}.disk", disk.stats)
+            reg.register(f"{prefix}.cache", cache.stats)
+            reg.register(f"{prefix}.ops", server.stats)
+            reg.register(f"{prefix}.rpc", server.rpc.stats)
+            if server.checksums is not None:
+                reg.register(f"{prefix}.integrity", server.integrity)
+            if scheduler is not None:
+                reg.register(f"{prefix}.sched", scheduler.stats)
+        for i, host in enumerate(self.client_hosts):
             reg.register(f"client{i}.cpu", host.cpu.busy)
             reg.register(f"client{i}.nic", host.nic.stats)
-            reg.register(f"client{i}.ops", client.stats)
-            reg.register(f"client{i}.rpc", client.rpc.stats)
-            cache = getattr(client, "cache", None)
-            if cache is not None and hasattr(cache, "stats"):
-                reg.register(f"client{i}.cache", cache.stats)
+            for name, part in self._client_extras(i):
+                reg.register(name, part.stats)
+            for suffix, endpoint in self.endpoints(i):
+                prefix = f"client{i}{suffix}"
+                reg.register(f"{prefix}.ops", endpoint.stats)
+                reg.register(f"{prefix}.rpc", endpoint.rpc.stats)
+                cache = getattr(endpoint, "cache", None)
+                if cache is not None and hasattr(cache, "stats"):
+                    reg.register(f"{prefix}.cache", cache.stats)
 
     def attach_sampler(self, interval_us: float = 50.0,
                        capacity: int = 8192) -> TimeSeriesSampler:
@@ -175,48 +246,57 @@ class Cluster:
             raise RuntimeError("sampler already attached")
         sampler = TimeSeriesSampler(self.sim, interval_us=interval_us,
                                     capacity=capacity)
-        sampler.probe_many("server.cpu", self.server_host.cpu.gauges())
-        sampler.probe_many("server.nic", self.server_host.nic.gauges())
-        sampler.probe_many("server.cache", self.cache.gauges())
-        sampler.probe_many("server.rpc", self.server.rpc.gauges())
-        if self.server.checksums is not None:
-            sampler.probe_many("server.integrity",
-                               self.server.integrity_gauges())
-        if self.scheduler is not None:
-            sampler.probe_many("server.sched", self.scheduler.gauges())
-        sampler.probe_many("net.server", self.server_host.nic.port.gauges())
-        for i, (host, client) in enumerate(zip(self.client_hosts,
-                                               self.clients)):
+        for host, server, cache, scheduler in zip(
+                self.server_hosts, self.servers, self.caches,
+                self.schedulers):
+            prefix = host.name
+            sampler.probe_many(f"{prefix}.cpu", host.cpu.gauges())
+            sampler.probe_many(f"{prefix}.nic", host.nic.gauges())
+            sampler.probe_many(f"{prefix}.cache", cache.gauges())
+            sampler.probe_many(f"{prefix}.rpc", server.rpc.gauges())
+            if server.checksums is not None:
+                sampler.probe_many(f"{prefix}.integrity",
+                                   server.integrity_gauges())
+            if scheduler is not None:
+                sampler.probe_many(f"{prefix}.sched", scheduler.gauges())
+            sampler.probe_many(f"net.{prefix}", host.nic.port.gauges())
+        for i, host in enumerate(self.client_hosts):
             prefix = f"client{i}"
             sampler.probe_many(f"{prefix}.cpu", host.cpu.gauges())
             sampler.probe_many(f"{prefix}.nic", host.nic.gauges())
-            sampler.probe_many(f"{prefix}.rpc", client.rpc.gauges())
-            ordma = getattr(client, "ordma", None)
-            if ordma is not None:
-                sampler.probe_many(f"{prefix}.ordma", ordma.gauges())
-            directory = getattr(client, "directory", None)
-            if directory is not None:
-                sampler.probe_many(f"{prefix}.dir", directory.gauges())
+            for name, part in self._client_extras(i):
+                sampler.probe_many(name, part.gauges())
+            for suffix, endpoint in self.endpoints(i):
+                sampler.probe_many(f"{prefix}{suffix}.rpc",
+                                   endpoint.rpc.gauges())
+                ordma = getattr(endpoint, "ordma", None)
+                if ordma is not None:
+                    sampler.probe_many(f"{prefix}{suffix}.ordma",
+                                       ordma.gauges())
+                directory = getattr(endpoint, "directory", None)
+                if directory is not None:
+                    sampler.probe_many(f"{prefix}{suffix}.dir",
+                                       directory.gauges())
             sampler.probe_many(f"net.{prefix}", host.nic.port.gauges())
         sampler.probe_many("net.switch", self.switch.gauges())
         self.metrics.register("timeseries", sampler)
         self.sampler = sampler
         return sampler
 
-    def _make_client(self, host: Host, kwargs: Dict):
+    def _make_client(self, host: Host, kwargs: Dict, k: int = 0):
+        """A ``self.system`` client on ``host`` for server stack ``k``."""
+        server = self.server_hosts[k].name
         if self.system == "nfs":
-            return NFSClient(host, "server", **kwargs)
+            return NFSClient(host, server, **kwargs)
         if self.system == "nfs-prepost":
-            return NFSPrepostClient(host, "server", **kwargs)
+            return NFSPrepostClient(host, server, **kwargs)
         if self.system == "nfs-remap":
-            return NFSRemapClient(host, "server", **kwargs)
+            return NFSRemapClient(host, server, **kwargs)
         if self.system == "nfs-hybrid":
-            return NFSHybridClient(host, "server", **kwargs)
-        if self.system == "dafs":
-            kwargs.setdefault("cache_block_size", self.block_size)
-            return DAFSClient(host, "server", **kwargs)
+            return NFSHybridClient(host, server, **kwargs)
         kwargs.setdefault("cache_block_size", self.block_size)
-        return ODAFSClient(host, "server", **kwargs)
+        cls = DAFSClient if self.system == "dafs" else ODAFSClient
+        return cls(host, server, port=DAFS_PORT + k, **kwargs)
 
     # -- experiment setup -------------------------------------------------
 
@@ -231,13 +311,18 @@ class Cluster:
 
     def reset_measurements(self) -> None:
         """Open a fresh measurement window on every host CPU."""
-        self.server_host.cpu.reset_measurement()
-        for host in self.client_hosts:
+        for host in self.server_hosts + self.client_hosts:
             host.cpu.reset_measurement()
 
+    def server_cpu_utilizations(self) -> List[float]:
+        """Each server's CPU utilization over the measurement window."""
+        return [host.cpu.utilization() for host in self.server_hosts]
+
     def server_cpu_utilization(self) -> float:
-        """Server CPU utilization over the current measurement window."""
-        return self.server_host.cpu.utilization()
+        """Mean per-server CPU utilization over the window (the quantity
+        that saturates per machine in the scale-out sweep)."""
+        utils = self.server_cpu_utilizations()
+        return sum(utils) / len(utils)
 
     def client_cpu_utilization(self, index: int = 0) -> float:
         """One client's CPU utilization over the measurement window."""

@@ -1,13 +1,14 @@
 """Sharded testbed wiring: N full servers behind the existing switch.
 
-A :class:`ShardedCluster` mirrors the single-server
-:class:`repro.cluster.Cluster` surface (``sim``, ``clients``,
-``create_file``, measurement helpers, ``metrics``/``attach_sampler``) so
-every existing workload runs unchanged — but wires
-``params.shard.n_servers`` servers, each with its own host, disk, file
-cache, and (optional) admission scheduler, and fronts each client host
-with a :class:`~repro.nas.shard.router.ShardRouter` holding one
-per-system subclient per server.
+A :class:`ShardedCluster` is a :class:`repro.cluster.Cluster` whose
+list-shaped server state holds ``params.shard.n_servers`` stacks — each
+with its own host, disk, file cache and (optional) admission scheduler —
+so every workload, the metrics registry, the sampler and the fault
+injector run on it unchanged. It overrides only what differs: the
+system check, the server count and placement, client wiring (one
+:class:`~repro.nas.shard.router.ShardRouter` per client host over one
+per-system subclient per server), indexed names (``server{k}``,
+``client{i}.s{k}``) and placement-scoped cache warming.
 
 Port scheme: shard ``k`` serves on ``base_port + k`` (NFS 2049+k, DAFS
 10+k). GM/UDP deliver to the same port number at the destination host,
@@ -25,26 +26,13 @@ byte-identical to the single-server baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ...fs.disk import Disk
-from ...fs.files import FileSystem
+from ...cluster import Cluster
 from ...hw.host import Host
-from ...hw.nic import NotifyMode
-from ...net.link import Switch
-from ...net.packet import reset_msg_ids
-from ...params import Params, default_params
-from ...proto.rpc import RetryPolicy
+from ...params import Params
 from ...proto.udp import UDPStack
-from ...sim import (MetricsRegistry, RandomStreams, Simulator,
-                    TimeSeriesSampler)
-from ..client.dafs import DAFSClient
-from ..client.nfs import NFSClient
-from ..client.odafs import ODAFSClient
-from ..server.filecache import ServerFileCache
-from ..server.sched import RequestScheduler
-from ..server.server import (DAFS_PORT, NFS_PORT, DAFSServer, NFSServer,
-                             ODAFSServer)
+from ..server.server import NFS_PORT
 from .placement import make_placement
 from .router import ShardRouter
 
@@ -53,243 +41,55 @@ from .router import ShardRouter
 SHARD_SYSTEMS = ("nfs", "dafs", "odafs")
 
 
-class ShardedCluster:
+class ShardedCluster(Cluster):
     """N servers, ``n_clients`` routed client hosts, one switch."""
 
     def __init__(self, params: Optional[Params] = None,
-                 system: str = "odafs", n_clients: int = 1,
-                 block_size: Optional[int] = None,
-                 server_cache_blocks: int = 4096,
-                 server_notify_mode: NotifyMode = NotifyMode.BLOCK,
-                 use_capabilities: bool = True,
-                 server_preload_tlb: bool = True,
-                 client_kwargs: Optional[Dict] = None):
-        if system not in SHARD_SYSTEMS:
-            raise ValueError(f"unknown sharded system {system!r}; "
+                 system: str = "odafs", *args, **kwargs):
+        super().__init__(params, system, *args, **kwargs)
+
+    def _configure(self) -> None:
+        if self.system not in SHARD_SYSTEMS:
+            raise ValueError(f"unknown sharded system {self.system!r}; "
                              f"one of {SHARD_SYSTEMS}")
-        self.params = params or default_params()
-        self.system = system
-        shard_p = self.params.shard
-        self.n_servers = shard_p.n_servers
-        self.placement = make_placement(shard_p, self.params.seed)
-        self.sim = Simulator()
-        self.rand = RandomStreams(self.params.seed)
-        self.switch = Switch(self.sim, self.params.net,
-                             rng=self.rand.stream("net.loss"))
-        self.block_size = block_size or self.params.storage.server_cache_block
+        self.n_servers = self.params.shard.n_servers
+        self.placement = make_placement(self.params.shard, self.params.seed)
 
-        # -- servers: one full stack per shard ---------------------------
-        self.server_hosts: List[Host] = []
-        self.filesystems: List[FileSystem] = []
-        self.disks: List[Disk] = []
-        self.caches: List[ServerFileCache] = []
-        self.servers = []
-        self.schedulers: List[Optional[RequestScheduler]] = []
-        sched_p = self.params.sched
-        for k in range(self.n_servers):
-            host = Host(self.sim, self.params, self.switch, f"server{k}",
-                        use_capabilities=use_capabilities)
-            fs = FileSystem(self.block_size)
-            disk = Disk(self.sim, self.params.storage,
-                        name=f"server{k}.disk")
-            cache = ServerFileCache(host, self.block_size,
-                                    server_cache_blocks,
-                                    export=(system == "odafs"),
-                                    preload_tlb=server_preload_tlb)
-            if system == "odafs":
-                server = ODAFSServer(host, fs, disk, cache,
-                                     port=DAFS_PORT + k,
-                                     mode=server_notify_mode)
-            elif system == "dafs":
-                server = DAFSServer(host, fs, disk, cache,
-                                    port=DAFS_PORT + k,
-                                    mode=server_notify_mode)
-            else:
-                server = NFSServer(host, fs, disk, cache,
-                                   port=NFS_PORT + k)
-            scheduler: Optional[RequestScheduler] = None
-            if sched_p.policy != "none":
-                scheduler = RequestScheduler(
-                    self.sim, policy=sched_p.policy,
-                    service_threads=sched_p.service_threads,
-                    max_queue=sched_p.max_queue)
-                server.rpc.attach_scheduler(scheduler)
-            server.start()
-            self.server_hosts.append(host)
-            self.filesystems.append(fs)
-            self.disks.append(disk)
-            self.caches.append(cache)
-            self.servers.append(server)
-            self.schedulers.append(scheduler)
+    def label(self, base: str, k: int) -> str:
+        return f"{base}{k}"
 
-        # -- clients: one router over N subclients per host --------------
-        kwargs = dict(client_kwargs or {})
-        self.client_hosts: List[Host] = []
-        self.clients: List[ShardRouter] = []
-        for i in range(n_clients):
-            host = Host(self.sim, self.params, self.switch, f"client{i}",
-                        use_capabilities=use_capabilities)
-            self.client_hosts.append(host)
-            subclients = self._make_subclients(host, kwargs)
-            if sched_p.policy != "none":
-                for k, sub in enumerate(subclients):
-                    sub.rpc.reject_retry = RetryPolicy(
-                        backoff_base_us=sched_p.reject_backoff_base_us,
-                        backoff_factor=sched_p.reject_backoff_factor,
-                        backoff_cap_us=sched_p.reject_backoff_cap_us,
-                        jitter=sched_p.reject_jitter,
-                        max_retries=sched_p.reject_max_retries,
-                        rng=self.rand.stream(f"{host.name}.reject.s{k}"))
-            self.clients.append(ShardRouter(
-                host, subclients, self.placement, self.block_size,
-                down_cooldown_us=shard_p.down_cooldown_us))
+    def endpoints(self, i: int) -> List[Tuple[str, Any]]:
+        return [(f".s{k}", sub)
+                for k, sub in enumerate(self.clients[i].subclients)]
 
-        self.metrics = MetricsRegistry()
-        self._register_metrics()
-        self.sampler: Optional[TimeSeriesSampler] = None
-        self.reset()
+    def _client_extras(self, i: int) -> List[Tuple[str, Any]]:
+        # The router's failover counters and shards-down gauge.
+        return [(f"client{i}.shard", self.clients[i])]
 
-    def _make_subclients(self, host: Host, kwargs: Dict) -> List:
+    def _make_client(self, host: Host, kwargs: Dict) -> ShardRouter:
+        # One Ethernet handler per NIC: every NFS subclient shares the
+        # host's single UDP stack, on its shard's port.
+        stack = UDPStack(host) if self.system == "nfs" else None
         subclients = []
-        if self.system == "nfs":
-            # One Ethernet handler per NIC: every NFS subclient shares
-            # the host's single UDP stack, on its shard's port.
-            stack = UDPStack(host)
-            for k in range(self.n_servers):
-                subclients.append(NFSClient(
-                    host, f"server{k}",
-                    transport=stack.socket(NFS_PORT + k), **kwargs))
-            return subclients
-        cls = DAFSClient if self.system == "dafs" else ODAFSClient
         for k in range(self.n_servers):
             sub_kwargs = dict(kwargs)
-            sub_kwargs.setdefault("cache_block_size", self.block_size)
-            subclients.append(cls(host, f"server{k}", port=DAFS_PORT + k,
-                                  **sub_kwargs))
-        return subclients
-
-    def reset(self) -> None:
-        """Zero the message-id space and every RPC endpoint's session
-        state (the :meth:`repro.cluster.Cluster.reset` contract)."""
-        reset_msg_ids()
-        for server in self.servers:
-            server.rpc.reset_session()
-        for router in self.clients:
-            for sub in router.subclients:
-                sub.rpc.reset_session()
-
-    def _register_metrics(self) -> None:
-        reg = self.metrics
-        for k, (host, server) in enumerate(zip(self.server_hosts,
-                                               self.servers)):
-            prefix = f"server{k}"
-            reg.register(f"{prefix}.cpu", host.cpu.busy)
-            reg.register(f"{prefix}.nic", host.nic.stats)
-            reg.register(f"{prefix}.disk", self.disks[k].stats)
-            reg.register(f"{prefix}.cache", self.caches[k].stats)
-            reg.register(f"{prefix}.ops", server.stats)
-            reg.register(f"{prefix}.rpc", server.rpc.stats)
-            if server.checksums is not None:
-                reg.register(f"{prefix}.integrity", server.integrity)
-            if self.schedulers[k] is not None:
-                reg.register(f"{prefix}.sched", self.schedulers[k].stats)
-        for i, (host, router) in enumerate(zip(self.client_hosts,
-                                               self.clients)):
-            reg.register(f"client{i}.cpu", host.cpu.busy)
-            reg.register(f"client{i}.nic", host.nic.stats)
-            reg.register(f"client{i}.shard", router.stats)
-            for k, sub in enumerate(router.subclients):
-                reg.register(f"client{i}.s{k}.ops", sub.stats)
-                reg.register(f"client{i}.s{k}.rpc", sub.rpc.stats)
-                cache = getattr(sub, "cache", None)
-                if cache is not None and hasattr(cache, "stats"):
-                    reg.register(f"client{i}.s{k}.cache", cache.stats)
-
-    def attach_sampler(self, interval_us: float = 50.0,
-                       capacity: int = 8192) -> TimeSeriesSampler:
-        """Continuous telemetry over every shard's gauges, mirroring
-        :meth:`repro.cluster.Cluster.attach_sampler` (``shard.*`` names
-        come from each client's router: shards currently marked down)."""
-        if self.sampler is not None:
-            raise RuntimeError("sampler already attached")
-        sampler = TimeSeriesSampler(self.sim, interval_us=interval_us,
-                                    capacity=capacity)
-        for k, (host, server) in enumerate(zip(self.server_hosts,
-                                               self.servers)):
-            prefix = f"server{k}"
-            sampler.probe_many(f"{prefix}.cpu", host.cpu.gauges())
-            sampler.probe_many(f"{prefix}.nic", host.nic.gauges())
-            sampler.probe_many(f"{prefix}.cache", self.caches[k].gauges())
-            sampler.probe_many(f"{prefix}.rpc", server.rpc.gauges())
-            if server.checksums is not None:
-                sampler.probe_many(f"{prefix}.integrity",
-                                   server.integrity_gauges())
-            if self.schedulers[k] is not None:
-                sampler.probe_many(f"{prefix}.sched",
-                                   self.schedulers[k].gauges())
-            sampler.probe_many(f"net.{prefix}", host.nic.port.gauges())
-        for i, (host, router) in enumerate(zip(self.client_hosts,
-                                               self.clients)):
-            prefix = f"client{i}"
-            sampler.probe_many(f"{prefix}.cpu", host.cpu.gauges())
-            sampler.probe_many(f"{prefix}.nic", host.nic.gauges())
-            sampler.probe_many(f"{prefix}.shard", router.gauges())
-            for k, sub in enumerate(router.subclients):
-                sampler.probe_many(f"{prefix}.s{k}.rpc", sub.rpc.gauges())
-                ordma = getattr(sub, "ordma", None)
-                if ordma is not None:
-                    sampler.probe_many(f"{prefix}.s{k}.ordma",
-                                       ordma.gauges())
-                directory = getattr(sub, "directory", None)
-                if directory is not None:
-                    sampler.probe_many(f"{prefix}.s{k}.dir",
-                                       directory.gauges())
-            sampler.probe_many(f"net.{prefix}", host.nic.port.gauges())
-        sampler.probe_many("net.switch", self.switch.gauges())
-        self.metrics.register("timeseries", sampler)
-        self.sampler = sampler
-        return sampler
-
-    # -- experiment setup -------------------------------------------------
+            if stack is not None:
+                sub_kwargs["transport"] = stack.socket(NFS_PORT + k)
+            subclients.append(super()._make_client(host, sub_kwargs, k))
+        return ShardRouter(host, subclients, self.placement,
+                           self.block_size,
+                           down_cooldown_us=self.params.shard.down_cooldown_us)
 
     def create_file(self, name: str, size: int, warm: bool = True) -> None:
         """Create ``name`` in every server's namespace; ``warm=True``
         preloads each server's cache with the blocks it primaries or
         replicates (the Section 5 warm-cache setup, shard-scoped)."""
-        n_blocks = 0
         for fs in self.filesystems:
             fs.create(name, size)
-            n_blocks = fs.block_count(name)
         if not warm:
             return
-        for index in range(n_blocks):
-            chain = self.placement.replica_chain(name, index)
-            for k in chain:
+        for index in range(self.fs.block_count(name)):
+            for k in self.placement.replica_chain(name, index):
                 self.caches[k].insert(
                     (name, index),
                     self.filesystems[k].block_content(name, index))
-
-    # -- measurement helpers -----------------------------------------------
-
-    def reset_measurements(self) -> None:
-        """Open a fresh measurement window on every host CPU."""
-        for host in self.server_hosts:
-            host.cpu.reset_measurement()
-        for host in self.client_hosts:
-            host.cpu.reset_measurement()
-
-    def server_cpu_utilization(self) -> float:
-        """Mean per-server CPU utilization over the window (the quantity
-        that saturates per machine in the scale-out sweep)."""
-        utils = self.server_cpu_utilizations()
-        return sum(utils) / len(utils)
-
-    def server_cpu_utilizations(self) -> List[float]:
-        return [host.cpu.utilization() for host in self.server_hosts]
-
-    def client_cpu_utilization(self, index: int = 0) -> float:
-        return self.client_hosts[index].cpu.utilization()
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Advance the simulation (thin wrapper over ``sim.run``)."""
-        self.sim.run(until=until)

@@ -9,7 +9,8 @@ ratio is swept by varying the cache size against a fixed file set.
 
 The full PostMark shape (creates/deletes, appends, read-write mixes) is
 also implemented for library completeness; the Fig. 6 configuration is
-``transactions_only with read_ratio=1.0``.
+``transactions_only with read_ratio=1.0``. :func:`run_multi_client` is
+the N-client read-only variant the scaling campaigns sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, Generator, Optional
 
 from ..cluster import Cluster
 from ..params import KB
+from ..sim import LatencyStats
 
 
 class PostMarkWorkload:
@@ -114,3 +116,54 @@ class PostMarkWorkload:
         if cache is not None:
             result["client_cache_hit_ratio"] = cache.hit_ratio()
         return result
+
+
+def run_multi_client(cluster: Cluster, n_files: int, transactions: int,
+                     prefix: str, latency: LatencyStats,
+                     file_size: int = 4 * KB) -> float:
+    """Every client of ``cluster`` runs read-only open/read/close
+    transactions over one shared warm ``n_files``-file set.
+
+    Each client first touches every file once (delegations granted and,
+    for ODAFS, remote references piggybacked into the directory), then
+    all meet at a barrier and run ``transactions`` measured ones on files
+    drawn from RNG stream ``{prefix}.pm{i}``; ``latency`` records each.
+    Returns the measured window in simulated microseconds.
+    """
+    for i in range(n_files):
+        cluster.create_file(f"pm{i:06d}", file_size)
+    sim = cluster.sim
+    warm_done = [sim.event() for _ in cluster.clients]
+    warm_barrier = sim.all_of(warm_done)
+
+    def txn(client, name: str) -> Generator:
+        proto = client.host.params.proto
+        yield from client.host.cpu.execute(proto.app_txn_us,
+                                           category="app")
+        yield from client.open(name)
+        yield from client.read(name, 0, file_size)
+        yield from client.close(name)
+
+    def client_main(idx: int) -> Generator:
+        client = cluster.clients[idx]
+        rng = cluster.rand.stream(f"{prefix}.pm{idx}")
+        for i in range(n_files):
+            yield from txn(client, f"pm{i:06d}")
+        warm_done[idx].succeed(None)
+        yield warm_barrier
+        for _ in range(transactions):
+            name = f"pm{rng.randrange(n_files):06d}"
+            start = sim.now
+            yield from txn(client, name)
+            latency.record(sim.now - start)
+
+    def driver() -> Generator:
+        procs = [sim.process(client_main(i), name=f"{prefix}-pm{i}")
+                 for i in range(len(cluster.clients))]
+        yield warm_barrier
+        cluster.reset_measurements()
+        start = sim.now
+        yield sim.all_of(procs)
+        return sim.now - start
+
+    return sim.run_process(driver())

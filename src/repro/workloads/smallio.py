@@ -90,6 +90,7 @@ class MultiClientReadWorkload:
         elapsed = sim.now - start
         measured_bytes = len(clients) * self.file_size
         return {
+            "elapsed_us": elapsed,
             "throughput_mb_s": measured_bytes / elapsed,
             "server_cpu": cluster.server_cpu_utilization(),
             "client_cpus": [cluster.client_cpu_utilization(i)

@@ -178,6 +178,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "vs seed" in out
 
+    @pytest.mark.parametrize("flag", ["--repeat", "--jobs"])
+    def test_zero_counts_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            perf.main(["--quick", "--no-sweep", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
     def test_profile_prints_cumulative_tables(self, capsys):
         assert perf.main(["--quick", "--profile", "3"]) == 0
         out = capsys.readouterr().out

@@ -107,10 +107,13 @@ class TestRender:
 
     @pytest.mark.parametrize("flag,value", [("--blocks", "0"),
                                             ("--threads", "0"),
-                                            ("--queue", "-1")])
+                                            ("--queue", "-1"),
+                                            ("--files", "0"),
+                                            ("--transactions", "0")])
     def test_cli_rejects_sizes_below_one(self, flag, value, capsys):
-        """A zero thread count or negative queue bound used to die with a
-        ValueError traceback, and zero blocks ran; all exit 2 now."""
+        """A zero thread count, negative queue bound or zero PostMark
+        file set used to die with a ValueError traceback, and zero blocks
+        or transactions ran; all exit 2 now."""
         with pytest.raises(SystemExit) as exc:
             scale.main(["--quick", flag, value])
         assert exc.value.code == 2

@@ -115,9 +115,11 @@ class TestRender:
         with pytest.raises(SystemExit):
             shard.main(["--systems", "zfs"])
 
-    @pytest.mark.parametrize("flag", ["--clients", "--blocks"])
+    @pytest.mark.parametrize("flag", ["--clients", "--blocks", "--files",
+                                      "--transactions"])
     def test_cli_rejects_count_below_one(self, flag, capsys):
-        """Zero clients or blocks used to run and exit 0."""
+        """Zero clients, blocks or transactions used to run and exit 0;
+        zero PostMark files died with a ValueError traceback."""
         with pytest.raises(SystemExit) as exc:
             shard.main(["--quick", flag, "0"])
         assert exc.value.code == 2

@@ -100,6 +100,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "--blocks: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--passes", "--block-kb"])
+    def test_zero_counts_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            telemetry.main(["--quick", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
     def test_dump_writes_jsonl(self, tmp_path, capsys):
         from repro.sim import load_timeseries_jsonl
         path = tmp_path / "ts.jsonl"

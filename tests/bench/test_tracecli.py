@@ -83,6 +83,13 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--blocks: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--passes", "--block-kb"])
+    def test_zero_counts_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tracecli.main(["--quick", flag, "0"])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
     def test_rpc_path_for_plain_nfs(self, capsys):
         assert tracecli.main(["--quick", "--system", "nfs"]) == 0
         out = capsys.readouterr().out

@@ -93,6 +93,14 @@ def test_cli_rejects_zero_blocks(capsys):
     assert "--blocks: must be >= 1" in capsys.readouterr().err
 
 
+def test_cli_rejects_zero_passes(capsys):
+    """Zero passes used to run and then report a failed campaign."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--passes", "0"])
+    assert exc.value.code == 2
+    assert "--passes: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_dump_writes_loadable_trace(tmp_path, capsys):
     path = tmp_path / "chaos.jsonl"
     rc = main(["--seed", "7", "--systems", "odafs", "--classes", "nic",

@@ -241,6 +241,13 @@ class TestShardedReadRepair:
         assert router.stats.get("down_marks") == 0
 
 
+def test_cli_rejects_zero_passes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--passes", "0"])
+    assert exc.value.code == 2
+    assert "--passes: must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", ["-0.5", "2"])
 def test_cli_rejects_rate_outside_unit_interval(rate, capsys):
     """Corruption rates are probabilities; anything else exits 2 with a
